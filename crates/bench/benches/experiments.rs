@@ -2,16 +2,15 @@
 //!
 //! This "bench" (harness = false) regenerates a compact version of every
 //! table and figure in the paper's evaluation at reduced scale, printing
-//! measured-vs-paper values. The full-resolution per-figure output comes
-//! from the `exp_*` binaries (see EXPERIMENTS.md):
+//! measured-vs-paper values. The full-resolution output of every table and
+//! figure comes from one `exp_all` run (see EXPERIMENTS.md):
 //!
 //! ```sh
-//! cargo run --release -p livenet-bench --bin exp_table1_overall
+//! cargo run --release -p livenet-bench --bin exp_all
 //! ```
 
 use livenet_bench::{median, paper_config, ratio_pct, run};
-use livenet_sim::packetsim::{PacketSim, PacketSimConfig};
-use livenet_sim::{FleetReport, SessionRecord};
+use livenet_sim::{FleetReport, Scenario, SessionRecord};
 use livenet_types::Ecdf;
 
 fn check(label: &str, measured: f64, paper: f64, tolerance_pct: f64) {
@@ -148,10 +147,10 @@ fn festival_checks(report: &FleetReport) {
 
 fn packet_level_checks() {
     println!("\n§3/§5 — fast/slow path recovery (packet level, A→B→C):");
-    let with = PacketSim::new(PacketSimConfig::three_node_chain(0.02, 42)).run();
-    let mut without_cfg = PacketSimConfig::three_node_chain(0.02, 42);
-    without_cfg.nack_retry_limit = 0;
-    let without = PacketSim::new(without_cfg).run();
+    let with = Scenario::three_node_chain(0.02, 42).run().report();
+    let mut without_sc = Scenario::three_node_chain(0.02, 42);
+    without_sc.node.nack_retry_limit = 0;
+    let without = without_sc.run().report();
     let full = with.viewers[0].1.frames_rendered as f64;
     let degraded = without.viewers[0].1.frames_rendered as f64;
     check("frames rendered with slow path", full, 150.0, 3.0);

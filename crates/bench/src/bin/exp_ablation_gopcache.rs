@@ -8,19 +8,18 @@
 //! fast-startup budget.
 
 use livenet_bench::Report;
-use livenet_sim::packetsim::{PacketSim, PacketSimConfig, ViewerSpec};
-use livenet_types::{Bandwidth, SimTime};
+use livenet_sim::{Scenario, Viewer};
+use livenet_types::SimTime;
 
 fn startup_ms(burst: bool, join_offset_ms: u64, seed: u64) -> Option<f64> {
-    let mut cfg = PacketSimConfig::three_node_chain(0.0, seed);
-    cfg.startup_burst = burst;
+    let mut sc = Scenario::three_node_chain(0.0, seed);
+    sc.node.startup_burst = burst;
     // The late viewer joins mid-GoP (GoP = 2 s at 15 fps).
-    cfg.viewers.push(ViewerSpec {
-        node_index: 2,
-        join_at: SimTime::from_millis(4000 + join_offset_ms),
-        downlink: Bandwidth::from_mbps(50),
-    });
-    let report = PacketSim::new(cfg).run();
+    sc.viewers.push(Viewer::joining(
+        sc.nodes.clone(),
+        SimTime::from_millis(4000 + join_offset_ms),
+    ));
+    let report = sc.run().report();
     report.viewers[1].1.startup.map(|d| d.as_millis_f64())
 }
 

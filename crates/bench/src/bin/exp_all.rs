@@ -8,7 +8,7 @@
 //! ```
 
 use livenet_bench::{cli_config, render, run, Report};
-use livenet_sim::packetsim::{PacketSim, PacketSimConfig};
+use livenet_sim::Scenario;
 
 fn main() {
     let report = run(cli_config());
@@ -52,11 +52,11 @@ fn main() {
     out.heading("§3/§5 — fast/slow-path recovery (packet level)");
     for loss_pct in [0.5, 2.0] {
         for recovery in [true, false] {
-            let mut cfg = PacketSimConfig::three_node_chain(loss_pct / 100.0, 42);
+            let mut sc = Scenario::three_node_chain(loss_pct / 100.0, 42);
             if !recovery {
-                cfg.nack_retry_limit = 0;
+                sc.node.nack_retry_limit = 0;
             }
-            let r = PacketSim::new(cfg).run();
+            let r = sc.run().report();
             let (_, qoe) = r.viewers[0];
             out.note(format!(
                 "loss {loss_pct:.1}% {}: {} frames, {} stalls, {} RTX served",
@@ -72,6 +72,6 @@ fn main() {
     render::telemetry(&report, &mut out);
 
     out.note("");
-    out.note("Done. Per-figure binaries: exp_table1_overall, exp_fig02_…, exp_ablation_….");
+    out.note("Done. Packet-level ablations: exp_fastslow_recovery, exp_ablation_….");
     out.print();
 }

@@ -1,7 +1,7 @@
 //! §5.3 multi-supplier RTX recovery — alternate-supplier chase vs the
 //! single-supplier park-and-wait baseline.
 //!
-//! Runs the AutoRec diamond ([`livenet_sim::autorec`]) — a degraded
+//! Runs the AutoRec diamond ([`livenet_sim::Scenario::autorec`]) — a degraded
 //! primary leg (long RTT + loss) with a warm backup relay — in both modes
 //! over several seeds and emits the detection-to-recovery latency
 //! distributions. The multi-supplier mode chases the backup relay the
@@ -25,7 +25,7 @@
 //! [`AutorecOutcome::bit_identical`]: livenet_sim::AutorecOutcome::bit_identical
 
 use livenet_bench::{Report, SEED};
-use livenet_sim::{run_autorec, AutorecOutcome, AutorecScenario};
+use livenet_sim::{AutorecOutcome, Scenario};
 use livenet_types::SimDuration;
 
 fn percentile(sorted: &[f32], p: f64) -> f64 {
@@ -97,7 +97,7 @@ impl ModeSummary {
 }
 
 /// Run every cell at the given worker-thread count, preserving cell order.
-fn run_cells(cells: &[AutorecScenario], workers: usize) -> Vec<AutorecOutcome> {
+fn run_cells(cells: &[Scenario], workers: usize) -> Vec<AutorecOutcome> {
     let workers = workers.max(1);
     let mut out: Vec<Option<AutorecOutcome>> = vec![None; cells.len()];
     std::thread::scope(|scope| {
@@ -108,7 +108,7 @@ fn run_cells(cells: &[AutorecScenario], workers: usize) -> Vec<AutorecOutcome> {
                 let mut mine = Vec::new();
                 let mut i = tid;
                 while i < cells.len() {
-                    mine.push((i, run_autorec(&cells[i])));
+                    mine.push((i, cells[i].run().autorec()));
                     i += workers;
                 }
                 mine
@@ -153,7 +153,7 @@ fn main() {
     let mut cells = Vec::new();
     for &alts in &modes {
         for &seed in seeds {
-            let mut sc = AutorecScenario::new(alts, seed);
+            let mut sc = Scenario::autorec(alts, seed);
             if smoke {
                 sc.duration = SimDuration::from_secs(6);
             }
@@ -187,8 +187,8 @@ fn main() {
     let mut rows = Vec::new();
     for (sc, o) in cells.iter().zip(&outcomes) {
         rows.push(vec![
-            if sc.alt_suppliers > 0 {
-                format!("alternate ({})", sc.alt_suppliers)
+            if sc.node.rtx_alt_suppliers > 0 {
+                format!("alternate ({})", sc.node.rtx_alt_suppliers)
             } else {
                 "baseline".to_string()
             },
@@ -219,7 +219,7 @@ fn main() {
             let sel: Vec<&AutorecOutcome> = cells
                 .iter()
                 .zip(&outcomes)
-                .filter(|(sc, _)| sc.alt_suppliers == alts)
+                .filter(|(sc, _)| sc.node.rtx_alt_suppliers == alts)
                 .map(|(_, o)| o)
                 .collect();
             ModeSummary::pool(&sel)

@@ -9,7 +9,8 @@
 //! viewers stall or skip frames.
 
 use livenet_bench::Report;
-use livenet_sim::packetsim::{PacketSim, PacketSimConfig};
+use livenet_sim::scenario::bursty_loss;
+use livenet_sim::Scenario;
 
 fn main() {
     let mut out = Report::new("fast/slow path recovery (A→B→C, §3 & §5)", "§3 & §5");
@@ -24,15 +25,14 @@ fn main() {
         (2.0, true), // Gilbert–Elliott bursts, same mean
     ] {
         for recovery in [true, false] {
-            let mut cfg = PacketSimConfig::three_node_chain(loss_pct / 100.0, 42);
+            let mut sc = Scenario::three_node_chain(loss_pct / 100.0, 42);
             if bursty {
-                cfg.links[0] = livenet_sim::packetsim::ChainLink::healthy(10)
-                    .with_bursty_loss(loss_pct / 100.0);
+                sc.links[0].2.loss = bursty_loss(loss_pct / 100.0);
             }
             if !recovery {
-                cfg.nack_retry_limit = 0;
+                sc.node.nack_retry_limit = 0;
             }
-            let report = PacketSim::new(cfg).run();
+            let report = sc.run().report();
             let (_, qoe) = report.viewers[0];
             let mean_recovery = if report.recovery_latencies_ms.is_empty() {
                 f64::NAN

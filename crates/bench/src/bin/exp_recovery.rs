@@ -3,7 +3,7 @@
 //! Two experiments in one binary:
 //!
 //! 1. **Packet level**: the diamond-overlay crash scenario
-//!    ([`livenet_sim::recovery`]) run in both modes over several seeds —
+//!    ([`livenet_sim::Scenario::relay_crash`]) run in both modes over several seeds —
 //!    LiveNet's fast path (cached backup, ≈1 subscribe RTT after
 //!    detection) against the slow path (full Brain round trip,
 //!    multi-second), with frames lost per failover.
@@ -23,8 +23,9 @@
 //! [`FleetReport::bit_identical`]: livenet_sim::FleetReport::bit_identical
 
 use livenet_bench::{Report, SEED};
-use livenet_sim::recovery::{run_recovery, RecoveryMode, RecoveryScenario};
-use livenet_sim::{FleetConfigBuilder, FleetFault, FleetRunner, RecoveryRecord};
+use livenet_sim::{
+    FleetConfigBuilder, FleetFault, FleetRunner, RecoveryMode, RecoveryRecord, Scenario,
+};
 
 fn percentile(sorted: &[f32], p: f64) -> f64 {
     if sorted.is_empty() {
@@ -79,7 +80,7 @@ fn main() {
     let mut packet_json = Vec::new();
     for mode in [RecoveryMode::Fast, RecoveryMode::Slow] {
         for &seed in &seeds {
-            let rec = run_recovery(&RecoveryScenario::new(mode, seed));
+            let rec = Scenario::relay_crash(mode, seed).run().recovery();
             rows.push(vec![
                 format!("{mode:?}"),
                 format!("{seed}"),

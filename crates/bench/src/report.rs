@@ -205,9 +205,8 @@ impl Report {
     }
 }
 
-/// Render one aligned table (shared by `print` and the deprecated
-/// `print_table` shim).
-pub(crate) fn render_table(headers: &[String], rows: &[Vec<String>]) -> String {
+/// Render one aligned table.
+fn render_table(headers: &[String], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {

@@ -21,24 +21,6 @@ pub fn client_host_id(client: ClientId) -> NodeId {
     NodeId::new(CLIENT_NODE_OFFSET + client.raw())
 }
 
-/// Instrumentation record harvested from hosts.
-#[derive(Debug, Clone)]
-pub enum HostEvent {
-    /// An overlay-node event.
-    Node(NodeId, SimTime, NodeEvent),
-    /// A client rendered its first frame / finished (via QoE snapshots).
-    ClientFrame {
-        /// The client.
-        client: ClientId,
-        /// Arrival time.
-        at: SimTime,
-        /// Media timestamp of the completed frame.
-        rtp_timestamp: u32,
-        /// Cumulative delay field if the frame carried one.
-        delay_field: Option<SimDuration>,
-    },
-}
-
 /// A host in the packet-level simulation: an overlay node or a viewer.
 // Hosts live once per simulated machine in a Vec the emulator owns;
 // boxing the node state would add a pointer chase on every packet.

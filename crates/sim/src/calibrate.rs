@@ -6,7 +6,7 @@
 //! so single-node processing, dominated by the producer's media pipeline,
 //! is on that order; and Table 1's LiveNet median of 188 ms over mostly
 //! 2-hop paths pins the incremental relay/consumer cost. The packet-level
-//! simulation ([`crate::packetsim`]) validates the recovery-latency terms.
+//! simulation ([`crate::scenario`]) validates the recovery-latency terms.
 
 use livenet_types::SimDuration;
 use serde::{Deserialize, Serialize};

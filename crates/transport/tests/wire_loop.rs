@@ -300,20 +300,6 @@ async fn detached_client_feedback_is_dropped() {
     join.await.expect("join");
 }
 
-/// The deprecated `TestbedConfig::diamond` shim (kept one release) still
-/// produces the exact builder-made diamond.
-#[test]
-fn deprecated_diamond_shim_matches_builder() {
-    #[allow(deprecated)]
-    let shim = TestbedConfig::diamond(STREAM);
-    let built = TestbedBuilder::diamond(STREAM).build().expect("valid");
-    assert_eq!(shim.nodes, built.nodes);
-    assert_eq!(shim.edges, built.edges);
-    assert_eq!(shim.producer, built.producer);
-    assert_eq!(shim.viewers.len(), built.viewers.len());
-    shim.validate().expect("shim output validates");
-}
-
 /// Every class of bad input surfaces as `Error::InvalidConfig` from
 /// `build()` — including the out-of-range viewer index that used to
 /// panic deep inside `run`.

@@ -9,11 +9,11 @@ use livenet::prelude::*;
 fn main() {
     println!("A → B → C chain, 2% random loss on A→B (paper §3 example)\n");
     for (label, recovery) in [("fast + slow path (LiveNet)", true), ("fast path only", false)] {
-        let mut cfg = PacketSimConfig::three_node_chain(0.02, 42);
+        let mut sc = Scenario::three_node_chain(0.02, 42);
         if !recovery {
-            cfg.nack_retry_limit = 0;
+            sc.node.nack_retry_limit = 0;
         }
-        let report = PacketSim::new(cfg).run();
+        let report = sc.run().report();
         let (_, qoe) = report.viewers[0];
         println!("{label}:");
         println!(

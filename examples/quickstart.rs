@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use livenet::emu::LossModel;
 use livenet::prelude::*;
 
 fn main() {
@@ -47,14 +48,9 @@ fn main() {
     // 4. Replay that path at packet level: real overlay-node state
     //    machines over the discrete-event emulator, 1 % loss on the first
     //    hop to show the fast/slow-path recovery.
-    let chain_len = best.hops().max(2);
-    let mut cfg = PacketSimConfig::three_node_chain(0.01, 7);
-    if chain_len > 2 {
-        cfg.links
-            .push(livenet::sim::packetsim::ChainLink::healthy(10));
-        cfg.viewers[0].node_index = chain_len;
-    }
-    let report = PacketSim::new(cfg).run();
+    let mut sc = Scenario::chain(&vec![10; best.hops().max(2)], 7);
+    sc.links[0].2.loss = LossModel::Bernoulli { p: 0.01 };
+    let report = sc.run().report();
     let (_, qoe) = report.viewers[0];
     println!(
         "viewer: startup {:?} (fast: {}), {} frames rendered, {} stalls",
