@@ -20,7 +20,7 @@
 //! cargo run --release -p livenet-bench --bin bench_fleet -- --smoke --threads 4
 //! ```
 
-use livenet_bench::{Report, SEED};
+use livenet_bench::{Report, RunArgs, SEED};
 use livenet_sim::{FleetConfigBuilder, FleetRunner};
 use std::time::Instant;
 
@@ -89,23 +89,7 @@ fn smoke_gate(threads: usize, out: &mut Report) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut threads = 8usize;
-    let mut smoke = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threads" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    threads = v;
-                    i += 1;
-                }
-            }
-            "--smoke" => smoke = true,
-            other => eprintln!("ignoring unknown argument {other:?}"),
-        }
-        i += 1;
-    }
+    let RunArgs { threads, smoke } = RunArgs::parse(8);
 
     let mut out = Report::new("fleet-runner throughput (serial vs parallel)", "");
     out.meta("threads", threads.to_string());

@@ -80,9 +80,10 @@ fn main() {
     );
     out.note("");
     out.note("Observed shape: at normal load the headline metrics are insensitive");
-    out.note("to K and the hop limit — 92% of best paths are 2 hops anyway (Table");
-    out.note("2), which is itself the paper's point. hops<=2 eliminates the");
-    out.note("3-hop paths inter-national sessions otherwise use ~23% of the time");
+    out.note("to K and the hop limit — 78% of realized paths that leave the ingest");
+    out.note("node are 2 hops anyway (Table 2), which is itself the paper's point.");
+    out.note("hops<=2 eliminates the 3-hop paths inter-national sessions otherwise");
+    out.note("use ~18% of the time");
     out.note("(chosen for loss/load-adjusted weight, roughly delay-neutral in");
     out.note("this topology); hops<=4 adds only computation (the O(n^3) mesh");
     out.note("enumerator no longer applies); the Eq.3 load term and K>1 pay off");

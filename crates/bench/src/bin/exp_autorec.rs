@@ -10,7 +10,7 @@
 //!
 //! Writes `BENCH_autorec.json`. Every (mode, seed) cell is an independent
 //! simulation, so the cell set is fanned across worker threads; the run
-//! repeats at 1, 2, and `--shards N` workers and asserts the outcomes are
+//! repeats at 1, 2, and `--threads N` workers and asserts the outcomes are
 //! bit-identical ([`AutorecOutcome::bit_identical`]) — the same
 //! determinism contract the fleet benches enforce.
 //!
@@ -19,12 +19,12 @@
 //! determinism divergence.
 //!
 //! ```sh
-//! cargo run --release --bin exp_autorec [-- --shards 4] [-- --smoke]
+//! cargo run --release -p livenet-bench --bin exp_autorec [-- --threads 4] [--smoke]
 //! ```
 //!
 //! [`AutorecOutcome::bit_identical`]: livenet_sim::AutorecOutcome::bit_identical
 
-use livenet_bench::{Report, SEED};
+use livenet_bench::{Report, RunArgs, SEED};
 use livenet_sim::{AutorecOutcome, Scenario};
 use livenet_types::SimDuration;
 
@@ -126,23 +126,7 @@ fn run_cells(cells: &[Scenario], workers: usize) -> Vec<AutorecOutcome> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut threads = 4usize;
-    let mut smoke = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--shards" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    threads = v;
-                    i += 1;
-                }
-            }
-            "--smoke" => smoke = true,
-            _ => {}
-        }
-        i += 1;
-    }
+    let RunArgs { threads, smoke } = RunArgs::parse(4);
 
     let seeds: &[u64] = if smoke {
         &[SEED]

@@ -12,18 +12,18 @@
 //!   against the canonical chosen sequence and cross-checks sampled
 //!   `PathAssignment`s across replicas; any divergence fails the run.
 //!
-//! Writes `BENCH_brainha.json`. `--shards N` sets only the *worker
-//! thread* count; the shard partition is fixed by the config, so the
-//! JSON is bit-identical for `--shards 1` and `--shards 8` (asserted via
+//! Writes `BENCH_brainha.json`. `--threads N` sets the worker-thread
+//! count; the shard partition is fixed by the config, so the JSON is
+//! bit-identical for `--threads 1` and `--threads 8` (asserted via
 //! [`FleetReport::bit_identical`]). `--smoke` shrinks the run for CI.
 //!
 //! ```sh
-//! cargo run --release --bin exp_brainha [-- --shards 8] [--smoke]
+//! cargo run --release -p livenet-bench --bin exp_brainha [-- --threads 8] [--smoke]
 //! ```
 //!
 //! [`FleetReport::bit_identical`]: livenet_sim::FleetReport::bit_identical
 
-use livenet_bench::{ratio_pct, Report, SEED};
+use livenet_bench::{ratio_pct, Report, RunArgs, SEED};
 use livenet_sim::{
     DecisionOutcome, FleetConfig, FleetConfigBuilder, FleetFault, FleetReport, FleetRunner,
     ReplicationConfig, SessionRecord,
@@ -122,23 +122,7 @@ fn json_or_null(v: f64) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut threads = 8usize;
-    let mut smoke = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--shards" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    threads = v;
-                    i += 1;
-                }
-            }
-            "--smoke" => smoke = true,
-            _ => {}
-        }
-        i += 1;
-    }
+    let RunArgs { threads, smoke } = RunArgs::parse(8);
 
     let sc = scenario(smoke);
     let mut out = Report::new("Brain HA: Paxos leader failover (§7.1)", "§7.1");

@@ -11,10 +11,10 @@
 //! startup → streaming → recovery) and written to `BENCH_observe.json`.
 //!
 //! ```sh
-//! cargo run --release --bin exp_observe [-- --threads 8]
+//! cargo run --release -p livenet-bench --bin exp_observe [-- --threads 8]
 //! ```
 
-use livenet_bench::{render, Report, SEED};
+use livenet_bench::{render, Report, RunArgs, SEED};
 use livenet_sim::{FleetConfigBuilder, FleetFault, FleetReport, FleetRunner};
 
 /// Shard widths the determinism self-check runs at.
@@ -40,18 +40,7 @@ fn double12_config(shards: usize) -> livenet_sim::FleetConfig {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut threads = 8usize;
-    let mut i = 1;
-    while i < args.len() {
-        if args[i] == "--threads" {
-            if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                threads = v;
-                i += 1;
-            }
-        }
-        i += 1;
-    }
+    let threads = RunArgs::parse(8).threads;
 
     let mut out = Report::new(
         "per-stage latency attribution (Double-12 surge, §6.1 telemetry)",

@@ -11,18 +11,18 @@
 //!    sharded fleet simulation; emits the fast/slow recovery distributions
 //!    for LiveNet and the Hier baseline.
 //!
-//! Writes `BENCH_recovery.json`. `--shards N` sets only the *worker
-//! thread* count; the shard partition itself is fixed by the config, so
-//! the JSON is bit-identical for `--shards 1` and `--shards 8` (asserted
-//! here via [`FleetReport::bit_identical`]).
+//! Writes `BENCH_recovery.json`. `--threads N` sets the worker-thread
+//! count; the shard partition itself is fixed by the config, so the JSON
+//! is bit-identical for `--threads 1` and `--threads 8` (asserted here via
+//! [`FleetReport::bit_identical`]).
 //!
 //! ```sh
-//! cargo run --release --bin exp_recovery [-- --shards 8]
+//! cargo run --release -p livenet-bench --bin exp_recovery [-- --threads 8]
 //! ```
 //!
 //! [`FleetReport::bit_identical`]: livenet_sim::FleetReport::bit_identical
 
-use livenet_bench::{Report, SEED};
+use livenet_bench::{Report, RunArgs, SEED};
 use livenet_sim::{
     FleetConfigBuilder, FleetFault, FleetRunner, RecoveryMode, RecoveryRecord, Scenario,
 };
@@ -58,18 +58,7 @@ fn dist_json(recs: &[&RecoveryRecord]) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut threads = 8usize;
-    let mut i = 1;
-    while i < args.len() {
-        if args[i] == "--shards" {
-            if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                threads = v;
-                i += 1;
-            }
-        }
-        i += 1;
-    }
+    let threads = RunArgs::parse(8).threads;
 
     let mut out = Report::new("failure recovery (§6.5)", "§6.5");
 

@@ -4,9 +4,8 @@
 //! `exp_all` regenerates every table and figure of the paper from one
 //! fleet run through [`render`]; the other `exp_*` binaries run the
 //! packet-level, ablation, recovery and wire experiments (DESIGN.md §3
-//! maps them). Fleet binaries accept an optional `--scale <f>` argument to
-//! shrink the workload for quick runs; the default reproduces the full
-//! 20-day evaluation in a few minutes.
+//! maps them). Bins parse either [`cli_config`]'s workload flags or
+//! [`RunArgs`]' execution flags, never both, so each flag has one meaning.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,9 +15,7 @@ pub mod report;
 
 pub use report::Report;
 
-use livenet_sim::{
-    FleetConfig, FleetConfigBuilder, FleetReport, FleetRunner, FleetSim, SessionRecord,
-};
+use livenet_sim::{FleetConfig, FleetConfigBuilder, FleetReport, FleetRunner, SessionRecord};
 use livenet_types::Ecdf;
 
 /// The canonical experiment seed.
@@ -27,67 +24,89 @@ pub const SEED: u64 = 20221122;
 /// Build the canonical paper-scale fleet configuration.
 ///
 /// 20 days, Double-12 festival on days 10–11, 60 nodes / 12 countries
-/// (the paper's 600+ nodes / 70+ countries scaled ~10×; DESIGN.md §1).
+/// (the paper's 600+ nodes / 70+ countries scaled ~10×; DESIGN.md §1),
+/// one shard and therefore one Brain, like the paper's single global
+/// control loop (§4).
 pub fn paper_config(scale: f64) -> FleetConfig {
     FleetConfigBuilder::paper_scale(SEED)
+        .shards(1)
         .tweak(|c| c.workload.peak_arrivals_per_sec *= scale)
         .build()
         .expect("paper-scale preset is valid")
 }
 
 /// Parse `--scale <f>`, `--days <n>`, `--seed <s>` and `--shards <n>`
-/// from argv, validating the result.
+/// from argv onto the one-shard paper-scale preset, validating the result.
+/// Panics on any other argument.
 pub fn cli_config() -> FleetConfig {
-    let args: Vec<String> = std::env::args().collect();
-    let mut b = FleetConfigBuilder::paper_scale(SEED);
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut b = FleetConfigBuilder::paper_scale(SEED).shards(1);
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let value = args.next();
+        b = match flag.as_str() {
             "--scale" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse::<f64>().ok()) {
-                    b = b.tweak(|c| c.workload.peak_arrivals_per_sec *= v);
-                    i += 1;
-                }
+                let scale: f64 = flag_value(&flag, value);
+                b.tweak(|c| c.workload.peak_arrivals_per_sec *= scale)
             }
-            "--days" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse::<u32>().ok()) {
-                    b = b.days(v);
-                    i += 1;
-                }
-            }
-            "--seed" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) {
-                    b = b.seed(v);
-                    i += 1;
-                }
-            }
-            "--shards" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-                    b = b.shards(v);
-                    i += 1;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
+            "--days" => b.days(flag_value(&flag, value)),
+            "--seed" => b.seed(flag_value(&flag, value)),
+            "--shards" => b.shards(flag_value(&flag, value)),
+            _ => panic!("unknown argument {flag:?} (accepted: --scale, --days, --seed, --shards)"),
+        };
     }
     b.build().expect("invalid command-line configuration")
 }
 
-/// Run the fleet simulation for a config (the legacy monolith path — the
-/// canonical sample path the `exp_*` tables are quoted against).
+/// Run the fleet simulation for a config on every available core.
+///
+/// The result depends on `cfg.shards` but not on the core count — see
+/// [`FleetRunner`].
 pub fn run(cfg: FleetConfig) -> FleetReport {
-    FleetSim::new(cfg).run()
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    FleetRunner::new(cfg)
+        .expect("invalid fleet configuration")
+        .run_parallel(cores)
 }
 
-/// Run the fleet simulation sharded across `threads` worker threads.
-///
-/// The result depends on `cfg.shards` but not on `threads` — see
-/// [`FleetRunner`].
-pub fn run_sharded(cfg: FleetConfig, threads: usize) -> FleetReport {
-    FleetRunner::new(cfg)
-        .expect("config validated by the builder")
-        .run_parallel(threads)
+/// Flags of the bins that run a fixed workload: `--threads` never changes
+/// a result, `--smoke` picks the reduced CI run.
+#[derive(Debug, Clone, Copy)]
+pub struct RunArgs {
+    /// `--threads <n>`: worker threads.
+    pub threads: usize,
+    /// `--smoke`: the reduced CI run.
+    pub smoke: bool,
+}
+
+impl RunArgs {
+    /// Parse `--threads <n>` and `--smoke` from argv. Panics on any other
+    /// argument, so a workload flag such as `--shards` fails loudly
+    /// instead of being ignored.
+    pub fn parse(default_threads: usize) -> RunArgs {
+        RunArgs::from_args(std::env::args().skip(1), default_threads)
+    }
+
+    fn from_args(args: impl IntoIterator<Item = String>, default_threads: usize) -> RunArgs {
+        let mut out = RunArgs {
+            threads: default_threads,
+            smoke: false,
+        };
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
+                "--threads" => out.threads = flag_value(&flag, args.next()),
+                "--smoke" => out.smoke = true,
+                _ => panic!("unknown argument {flag:?} (accepted: --threads <n>, --smoke)"),
+            }
+        }
+        out
+    }
+}
+
+fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
+    value
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("{flag} needs a valid value"))
 }
 
 /// Median of a session metric.
@@ -137,9 +156,24 @@ mod tests {
     }
 
     #[test]
+    fn run_args_parse_threads_and_smoke() {
+        let args = |v: &[&str]| RunArgs::from_args(v.iter().map(|s| s.to_string()), 8);
+        let (plain, ci) = (args(&[]), args(&["--smoke", "--threads", "4"]));
+        assert_eq!((plain.threads, plain.smoke), (8, false));
+        assert_eq!((ci.threads, ci.smoke), (4, true));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown argument")]
+    fn run_args_reject_shards() {
+        RunArgs::from_args(["--shards".to_string(), "2".to_string()], 8);
+    }
+
+    #[test]
     fn paper_config_scales_arrivals() {
         let base = paper_config(1.0);
         let half = paper_config(0.5);
+        assert_eq!(base.shards, 1);
         assert!(
             (half.workload.peak_arrivals_per_sec - base.workload.peak_arrivals_per_sec / 2.0)
                 .abs()

@@ -576,6 +576,36 @@ impl FleetReport {
                 _ => false,
             }
     }
+
+    /// 64-bit FNV-1a fingerprint of the sample path: every session record
+    /// (in its `Debug` form, where floats round-trip bit for bit),
+    /// `recompute_rounds`, `chain_switches`, the telemetry JSON and the
+    /// replication summary. Golden tests pin it across commits.
+    pub fn fingerprint(&self) -> u64 {
+        use std::fmt::Write as _;
+        struct Fnv(u64);
+        impl std::fmt::Write for Fnv {
+            fn write_str(&mut self, s: &str) -> std::fmt::Result {
+                for b in s.bytes() {
+                    self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+                Ok(())
+            }
+        }
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        write!(
+            h,
+            "{:?}{:?}{} {} {}{:?}",
+            self.livenet,
+            self.hier,
+            self.recompute_rounds,
+            self.chain_switches,
+            self.telemetry.to_json(),
+            self.replication
+        )
+        .expect("hashing never fails");
+        h.0
+    }
 }
 
 /// Output of one shard's run: the report plus the per-day realized-path
@@ -613,8 +643,7 @@ pub struct FleetSim {
     // Fault schedule, identical on every shard (seeded from the workload
     // seed alone).
     faults: Vec<ResolvedFault>,
-    // Channels this instance simulates (all true in monolith runs; one
-    // shard's membership in sharded runs).
+    // The channels of this shard's plan (all of them when `shards = 1`).
     scheduled: Vec<bool>,
     queue: EventQueue<Ev>,
     // Ordered so fault handling iterates sessions in id order for free
@@ -636,8 +665,16 @@ pub struct FleetSim {
 }
 
 impl FleetSim {
-    /// Build the simulator (generates topology, channels, schedules).
-    pub fn new(config: FleetConfig) -> FleetSim {
+    /// Build the simulator for one shard of a partitioned run; an
+    /// unsharded run is the one plan of `shards = 1`.
+    ///
+    /// All shards generate the same topology, channels, live schedule and
+    /// faults from shared RNG streams. A shard then draws arrivals for its
+    /// channels at its Zipf mass share of the fleet rate and session noise
+    /// from `split(index)`, and scales capacities by that share. The
+    /// control plane's seed depends only on (workload seed, shard index),
+    /// so serial and parallel runs agree bit for bit.
+    pub fn new_shard(mut config: FleetConfig, plan: &crate::runner::ShardPlan) -> FleetSim {
         let geo = GeoTopology::generate(&config.geo);
         let topology = geo.topology.clone();
         let countries = config.geo.countries;
@@ -659,15 +696,25 @@ impl FleetSim {
             }
         }
 
+        let index = plan.index as u64;
         let brain = ControlPlane::new(
             &topology,
             &config.brain,
             config.replication.as_ref(),
-            config.workload.seed,
+            config
+                .workload
+                .seed
+                .wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
         );
         let roles = HierRoles::assign(&topology, 2);
         let hier = HierController::new(roles);
-        let workload = Workload::new(config.workload.clone(), countries);
+        let workload = Workload::for_shard(
+            config.workload.clone(),
+            countries,
+            &plan.channels,
+            plan.mass_share,
+            index,
+        );
         let mut rng = DetRng::seed(config.workload.seed).fork("fleet");
 
         // Channel producers: a stable edge node in the channel's country.
@@ -701,6 +748,7 @@ impl FleetSim {
                 blocks
             })
             .collect();
+        let rng = rng.split(index);
 
         // Fault schedule: scripted entries plus the seeded random outage
         // process. Uses its own RNG stream (fork "faults") so the schedule
@@ -772,7 +820,13 @@ impl FleetSim {
         }
         faults.sort_by_key(|f| (f.start, f.end));
 
-        let scheduled = vec![true; workload.channels.len()];
+        let mut scheduled = vec![false; workload.channels.len()];
+        for &c in &plan.channels {
+            scheduled[c] = true;
+        }
+        let share = plan.mass_share.max(1e-9);
+        config.node_capacity_sessions *= share;
+        config.link_capacity_sessions *= share;
         FleetSim {
             bitrate_bps: 2_500_000.0,
             config,
@@ -805,58 +859,6 @@ impl FleetSim {
             day_peak_bps: 0.0,
             telemetry: TelemetryHub::new(),
         }
-    }
-
-    /// Build the simulator for one shard of a partitioned run.
-    ///
-    /// The topology, channel universe and live schedule are generated
-    /// exactly as in [`FleetSim::new`] — every shard agrees on the shared
-    /// ground truth because the same RNG streams are consumed to build it.
-    /// Only then does the shard diverge: arrivals come from the plan's
-    /// channel slice at its Zipf mass share of the fleet rate, per-session
-    /// noise draws from `split(index)` of the fleet stream, and session
-    /// capacities are scaled by the mass share so per-shard utilization
-    /// (and therefore routing and queueing) matches the monolith's.
-    pub fn new_shard(config: FleetConfig, plan: &crate::runner::ShardPlan) -> FleetSim {
-        let countries = config.geo.countries;
-        let mut sim = FleetSim::new(config);
-        sim.workload = Workload::for_shard(
-            sim.config.workload.clone(),
-            countries,
-            &plan.channels,
-            plan.mass_share,
-            plan.index as u64,
-        );
-        sim.rng = sim.rng.split(plan.index as u64);
-        // Each shard runs its own Brain cluster; the seed is a pure
-        // function of (workload seed, shard index) so serial and parallel
-        // executions of the same partition agree bit-for-bit.
-        if sim.config.replication.is_some() {
-            let seed = sim
-                .config
-                .workload
-                .seed
-                .wrapping_add((plan.index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            sim.brain = ControlPlane::new(
-                &sim.topology,
-                &sim.config.brain,
-                sim.config.replication.as_ref(),
-                seed,
-            );
-        }
-        sim.scheduled = vec![false; sim.workload.channels.len()];
-        for &c in &plan.channels {
-            sim.scheduled[c] = true;
-        }
-        let share = plan.mass_share.max(1e-9);
-        sim.config.node_capacity_sessions *= share;
-        sim.config.link_capacity_sessions *= share;
-        sim
-    }
-
-    /// Ground-truth topology access (tests).
-    pub fn topology(&self) -> &Topology {
-        &self.topology
     }
 
     /// Run the whole configured period and return the report.
@@ -1870,8 +1872,13 @@ mod tests {
     use super::*;
     use crate::metrics::summarize;
 
+    /// An unsharded (`shards = 1`) run.
+    fn run(config: FleetConfig) -> FleetReport {
+        crate::FleetRunner::new(config).unwrap().run_serial()
+    }
+
     fn smoke_report(seed: u64) -> FleetReport {
-        FleetSim::new(FleetConfig::smoke(seed)).run()
+        run(FleetConfig::smoke(seed))
     }
 
     #[test]
@@ -1962,7 +1969,7 @@ mod tests {
 
     #[test]
     fn outage_telemetry_counts_faults_and_recoveries() {
-        let r = FleetSim::new(outage_config(11)).run();
+        let r = run(outage_config(11));
         let snap = &r.telemetry;
         assert_eq!(snap.counter("fleet.faults_injected"), r.faults_injected);
         assert_eq!(
@@ -1987,7 +1994,8 @@ mod tests {
 
     #[test]
     fn refcounts_drain_after_run() {
-        let mut sim = FleetSim::new(FleetConfig::smoke(8));
+        let cfg = FleetConfig::smoke(8);
+        let mut sim = FleetSim::new_shard(cfg.clone(), &crate::partition_channels(&cfg)[0]);
         // Run through the shared driver (the same code `run_collect`
         // uses), keeping the sim alive to inspect internal state.
         sim.seed_events();
@@ -2021,7 +2029,7 @@ mod tests {
 
     #[test]
     fn region_outage_triggers_recoveries_and_rehoming() {
-        let r = FleetSim::new(outage_config(11)).run();
+        let r = run(outage_config(11));
         assert_eq!(r.faults_injected, 1);
         assert!(!r.recoveries_livenet.is_empty(), "no LiveNet failovers");
         assert!(!r.recoveries_hier.is_empty(), "no Hier failovers");
@@ -2042,8 +2050,8 @@ mod tests {
 
     #[test]
     fn outage_runs_are_deterministic() {
-        let a = FleetSim::new(outage_config(12)).run();
-        let b = FleetSim::new(outage_config(12)).run();
+        let a = run(outage_config(12));
+        let b = run(outage_config(12));
         assert!(a.bit_identical(&b));
     }
 
@@ -2053,7 +2061,7 @@ mod tests {
             .random_faults(3.0, (300, 1200))
             .build()
             .unwrap();
-        let r = FleetSim::new(cfg).run();
+        let r = run(cfg);
         assert!(r.faults_injected >= 3, "{}", r.faults_injected);
         assert_eq!(r.livenet.len(), r.hier.len());
     }

@@ -18,9 +18,10 @@
 //!   the Hier baseline side by side on identical sessions, mirroring the
 //!   paper's parallel-deployment methodology (§6.1).
 //!
-//! Fleet runs scale out through [`runner`]: [`FleetRunner`] partitions the
-//! channel universe into independent shards (DESIGN.md §7) and executes
-//! them serially or on a thread pool with bit-identical results.
+//! Every fleet run goes through [`runner`]: [`FleetRunner`] partitions the
+//! channel universe into independent shards (DESIGN.md §7; an unsharded
+//! run is `shards = 1`) and executes them serially or on a thread pool
+//! with bit-identical results.
 //!
 //! [`OverlayNode`]: livenet_node::OverlayNode
 

@@ -16,13 +16,14 @@
 //!   than the single heaviest channel;
 //! * each shard's arrival rate and session capacities are scaled by its
 //!   mass share, so per-shard utilization — and therefore routing,
-//!   queueing and the long-chain dynamics — matches the monolith's.
+//!   queueing and the long-chain dynamics — matches the whole fleet's.
 //!
-//! Sharded runs are a *new semantics*, not a replay of the legacy
-//! [`FleetSim::run`] monolith: the union of the shards' thinned Poisson
-//! streams is distributed like the monolith stream but is not the same
-//! sample path. The determinism contract is serial-sharded ≡
-//! parallel-sharded, checked by [`FleetReport::bit_identical`].
+//! The runner is the only fleet execution path: an unsharded run is
+//! `shards = 1`, one plan holding every channel at mass share 1.0. The
+//! result depends on the shard *count* (each shard draws its own thinned
+//! Poisson stream and runs its own Brain), never on the thread count. The
+//! determinism contract is serial ≡ parallel, checked by
+//! [`FleetReport::bit_identical`].
 //!
 //! [`DetRng::split`]: livenet_types::DetRng::split
 
@@ -105,11 +106,6 @@ impl FleetRunner {
     pub fn new(config: FleetConfig) -> Result<FleetRunner> {
         config.validate()?;
         Ok(FleetRunner { config })
-    }
-
-    /// The validated configuration.
-    pub fn config(&self) -> &FleetConfig {
-        &self.config
     }
 
     /// The shard partition this runner executes.

@@ -142,7 +142,7 @@ pub struct Workload {
     countries: u32,
     /// When sharded: only these channels arrive, at `rate_share` of the
     /// fleet rate. Thinning a Poisson process splits it exactly, so the
-    /// union over shards is distributed like the monolith stream.
+    /// union over shards is distributed like the whole-fleet stream.
     pool: Option<ShardPool>,
     rate_share: f64,
 }
@@ -259,8 +259,9 @@ impl Workload {
     /// with probability `demand_factor / max_factor`.
     pub fn next_session(&mut self) -> Option<SessionSpec> {
         let max_factor = self.config.festival_factor.max(1.0);
-        // rate_share is exactly 1.0 in the monolith path, so the
-        // multiplication leaves the legacy stream bit-identical.
+        // rate_share is exactly 1.0 for the whole-fleet generator
+        // (`Workload::new`, and every `shards = 1` run), so the
+        // multiplication leaves that stream bit-identical.
         let peak = self.config.peak_arrivals_per_sec * max_factor * self.rate_share;
         loop {
             let gap = self.rng.exp(1.0 / peak);

@@ -18,9 +18,19 @@ fn test_replication() -> ReplicationConfig {
     }
 }
 
+/// [`livenet_sim::FleetReport::fingerprint`] of the serial crash run per
+/// shard width. They pin the replicated sample path, Paxos summary
+/// included, across commits.
+const GOLDEN: [(usize, u64); 4] = [
+    (1, 0x9fb3_73ab_496b_9bb4),
+    (2, 0x82c9_17b1_6e55_be0f),
+    (4, 0x305e_ad28_fe11_7203),
+    (8, 0x0c34_c91c_9421_640f),
+];
+
 #[test]
 fn replicated_fleet_is_bit_identical_across_shard_widths() {
-    for shards in [1usize, 2, 4, 8] {
+    for (shards, golden) in GOLDEN {
         let cfg = FleetConfigBuilder::smoke(33)
             .peak_arrivals_per_sec(0.15)
             .shards(shards)
@@ -33,6 +43,11 @@ fn replicated_fleet_is_bit_identical_across_shard_widths() {
             .unwrap();
         let runner = FleetRunner::new(cfg).unwrap();
         let serial = runner.run_serial();
+        assert_eq!(
+            serial.fingerprint(),
+            golden,
+            "the replicated sample path changed at {shards} shards"
+        );
         let parallel = runner.run_parallel(shards.max(2));
         assert!(
             serial.bit_identical(&parallel),

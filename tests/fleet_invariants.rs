@@ -4,8 +4,11 @@
 use livenet::prelude::*;
 use livenet::sim::metrics::summarize;
 
+/// An unsharded (`shards = 1`) smoke run.
 fn smoke(seed: u64) -> FleetReport {
-    FleetSim::new(FleetConfig::smoke(seed)).run()
+    FleetRunner::new(FleetConfig::smoke(seed))
+        .unwrap()
+        .run_serial()
 }
 
 #[test]

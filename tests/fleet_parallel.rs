@@ -17,14 +17,24 @@ fn sharded(seed: u64) -> FleetConfig {
         .expect("smoke preset is valid")
 }
 
+/// [`FleetReport::fingerprint`] of the 8-shard serial runs at seeds 71
+/// and 72. They pin the sharded sample path across commits: a refactor of
+/// the fleet or runner that changes a single draw fails here.
+const GOLDEN: [(u64, u64); 2] = [(71, 0x628c_80f8_8b7f_82a3), (72, 0xe188_de2f_d412_ecb0)];
+
 #[test]
 fn parallel_bit_identical_to_serial_across_seeds_and_widths() {
-    for seed in [71, 72] {
+    for (seed, golden) in GOLDEN {
         let runner = FleetRunner::new(sharded(seed)).unwrap();
         let serial = runner.run_serial();
         assert!(
             !serial.livenet.is_empty(),
             "seed {seed}: empty sharded run"
+        );
+        assert_eq!(
+            serial.fingerprint(),
+            golden,
+            "seed {seed}: the sharded sample path changed"
         );
         for threads in [1, 2, 8] {
             let parallel = runner.run_parallel(threads);
