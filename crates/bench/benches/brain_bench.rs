@@ -2,14 +2,16 @@
 //!
 //! Validates the paper's §4.4 claim that "the path lookup takes only a few
 //! milliseconds" (ours is sub-microsecond for the hash lookups plus the
-//! constraint filter), and measures the Global Routing recompute that runs
-//! every 10 minutes.
+//! constraint filter), and measures the Brain's periodic work: the Global
+//! Routing recompute that runs every 10 minutes (on a fresh and a loaded
+//! topology) and the minute tick's report absorption.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use livenet_brain::{yen_ksp, link_weight, WeightParams};
 use livenet_brain::{BrainConfig, GlobalRouting, RoutingConfig, StreamingBrain};
-use livenet_topology::{GeoConfig, GeoTopology};
-use livenet_types::{NodeId, SimDuration, SimTime, StreamId};
+use livenet_topology::view::report_from_topology;
+use livenet_topology::{GeoConfig, GeoTopology, NodeReport, Topology};
+use livenet_types::{DetRng, NodeId, SimDuration, SimTime, StreamId};
 
 fn bench_path_lookup(c: &mut Criterion) {
     let geo = GeoTopology::generate(&GeoConfig::paper_scale(1));
@@ -31,17 +33,71 @@ fn bench_path_lookup(c: &mut Criterion) {
     });
 }
 
+/// Random utilization on every node and link, ~5 % at or above the 0.8
+/// overload target: step 2 filters on a loaded topology, never on a fresh
+/// one (zero utilization everywhere).
+fn loaded(seed: u64) -> Topology {
+    let mut t = GeoTopology::generate(&GeoConfig::paper_scale(seed)).topology;
+    let mut rng = DetRng::seed(seed).fork("brain-bench-load");
+    let draw = |rng: &mut DetRng| {
+        if rng.chance(0.05) {
+            rng.range_f64(0.8, 1.0)
+        } else {
+            rng.range_f64(0.0, 0.8)
+        }
+    };
+    for n in t.nodes_mut() {
+        n.utilization = draw(&mut rng);
+    }
+    for (_, _, l) in t.links_mut() {
+        l.utilization = draw(&mut rng);
+    }
+    t
+}
+
 fn bench_global_routing(c: &mut Criterion) {
     let geo = GeoTopology::generate(&GeoConfig::paper_scale(2));
     let routing = GlobalRouting::new(RoutingConfig::default());
-    c.bench_function("brain/compute_all 63-node mesh (the 10-minute job)", |b| {
-        b.iter(|| routing.compute_all(&geo.topology, SimTime::ZERO))
+    c.bench_function(
+        "brain/compute_all 60+3-node mesh, fresh (the 10-minute job)",
+        |b| b.iter(|| routing.compute_all(&geo.topology, SimTime::ZERO)),
+    );
+    let busy = loaded(2);
+    c.bench_function("brain/compute_all 60+3-node mesh, loaded", |b| {
+        b.iter(|| routing.compute_all(&busy, SimTime::ZERO))
     });
 
     let graph = routing.build_graph(&geo.topology);
     c.bench_function("brain/yen_ksp single pair (k=3, hops<=3)", |b| {
         b.iter(|| yen_ksp(&graph, 0, graph.len() - 1, 3, 3))
     });
+}
+
+fn bench_minute_tick(c: &mut Criterion) {
+    // One report per routable node from a loaded topology, re-stamped each
+    // minute so every report is fresh; overloaded nodes and links raise
+    // alarms against the PIB.
+    let busy = loaded(4);
+    let mut reports: Vec<NodeReport> = busy
+        .routable_node_ids()
+        .filter_map(|n| report_from_topology(&busy, n, SimTime::ZERO))
+        .collect();
+    let mut brain = StreamingBrain::new(busy, BrainConfig::default());
+    let mut minute = 0u64;
+    c.bench_function(
+        &format!("brain/absorb_report x{} (one minute tick)", reports.len()),
+        |b| {
+            b.iter(|| {
+                minute += 1;
+                let mut alarms = 0;
+                for r in &mut reports {
+                    r.at = SimTime::from_secs(60 * minute);
+                    alarms += brain.absorb_report(r).len();
+                }
+                alarms
+            })
+        },
+    );
 }
 
 fn bench_weight(c: &mut Criterion) {
@@ -74,6 +130,7 @@ fn bench_overload_invalidation(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_path_lookup, bench_global_routing, bench_weight, bench_overload_invalidation
+    targets = bench_path_lookup, bench_global_routing, bench_minute_tick, bench_weight,
+        bench_overload_invalidation
 }
 criterion_main!(benches);

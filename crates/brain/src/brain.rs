@@ -119,13 +119,8 @@ impl StreamingBrain {
     /// earlier reports, so a full-view replay per report is pure waste
     /// (it dominated fleet-scale profiles at ~57 reports per minute tick).
     pub fn absorb_report(&mut self, report: &NodeReport) -> Vec<OverloadAlarm> {
-        let alarms = self
-            .discovery
-            .absorb_report(report, &mut self.decision.pib);
         self.discovery
-            .view()
-            .apply_report(report, &mut self.topology);
-        alarms
+            .absorb_report(report, &mut self.decision.pib, &mut self.topology)
     }
 
     /// Handle an explicit real-time overload alarm.

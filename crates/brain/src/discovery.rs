@@ -6,7 +6,7 @@
 //! invalidated immediately (without waiting for the 10-minute recompute).
 
 use crate::pib::Pib;
-use livenet_topology::{GlobalView, NodeReport, OVERLOAD_TARGET};
+use livenet_topology::{GlobalView, NodeReport, Topology, OVERLOAD_TARGET};
 use livenet_types::NodeId;
 use serde::{Deserialize, Serialize};
 
@@ -40,20 +40,31 @@ impl GlobalDiscovery {
         &self.view
     }
 
-    /// Absorb a periodic node report. Returns any overload alarms implied
-    /// by the report itself (≥ target utilization triggers the same path
+    /// Absorb a periodic node report into the view and write it through
+    /// to the working `topology`. Returns any overload alarms implied by
+    /// the report itself (≥ target utilization triggers the same path
     /// invalidation as an explicit alarm).
-    pub fn absorb_report(&mut self, report: &NodeReport, pib: &mut Pib) -> Vec<OverloadAlarm> {
-        self.view.absorb(report);
+    ///
+    /// Only keys the report actually updated can raise an alarm: a late
+    /// report that newest-wins rejects says nothing about the current
+    /// state, so it must not invalidate paths that newer state says are
+    /// fine.
+    pub fn absorb_report(
+        &mut self,
+        report: &NodeReport,
+        pib: &mut Pib,
+        topology: &mut Topology,
+    ) -> Vec<OverloadAlarm> {
         let mut alarms = Vec::new();
-        if report.utilization >= OVERLOAD_TARGET {
-            alarms.push(OverloadAlarm::Node(report.node));
-        }
-        for l in &report.links {
-            if l.utilization >= OVERLOAD_TARGET {
+        self.view.absorb(report, topology, |updated| match updated {
+            None if report.utilization >= OVERLOAD_TARGET => {
+                alarms.push(OverloadAlarm::Node(report.node));
+            }
+            Some(l) if l.utilization >= OVERLOAD_TARGET => {
                 alarms.push(OverloadAlarm::Link(report.node, l.to));
             }
-        }
+            _ => {}
+        });
         for &alarm in &alarms {
             self.handle_alarm(alarm, pib);
         }
@@ -121,7 +132,7 @@ mod tests {
     fn healthy_report_raises_no_alarm() {
         let mut d = GlobalDiscovery::new();
         let mut pib = pib_with_paths();
-        let alarms = d.absorb_report(&report(2, 0.4, 0.3), &mut pib);
+        let alarms = d.absorb_report(&report(2, 0.4, 0.3), &mut pib, &mut Topology::new());
         assert!(alarms.is_empty());
         assert_eq!(pib.total_paths(), 2);
         assert_eq!(d.view().node_utilization(NodeId::new(2)), Some(0.4));
@@ -131,7 +142,7 @@ mod tests {
     fn node_overload_invalidates_traversing_paths() {
         let mut d = GlobalDiscovery::new();
         let mut pib = pib_with_paths();
-        let alarms = d.absorb_report(&report(2, 0.85, 0.3), &mut pib);
+        let alarms = d.absorb_report(&report(2, 0.85, 0.3), &mut pib, &mut Topology::new());
         assert_eq!(alarms, vec![OverloadAlarm::Node(NodeId::new(2))]);
         // Path via node 2 removed; via node 4 kept.
         let remaining = pib.lookup(NodeId::new(1), NodeId::new(3)).unwrap();
@@ -145,7 +156,7 @@ mod tests {
         let mut d = GlobalDiscovery::new();
         let mut pib = pib_with_paths();
         // Node 2 reports link 2→3 overloaded.
-        let alarms = d.absorb_report(&report(2, 0.1, 0.9), &mut pib);
+        let alarms = d.absorb_report(&report(2, 0.1, 0.9), &mut pib, &mut Topology::new());
         assert_eq!(
             alarms,
             vec![OverloadAlarm::Link(NodeId::new(2), NodeId::new(3))]
@@ -161,5 +172,48 @@ mod tests {
         let removed = d.handle_alarm(OverloadAlarm::Node(NodeId::new(4)), &mut pib);
         assert_eq!(removed, 1);
         assert_eq!(d.alarms_handled, 1);
+    }
+
+    #[test]
+    fn repeated_alarm_removes_nothing_but_still_counts() {
+        let mut d = GlobalDiscovery::new();
+        let mut pib = pib_with_paths();
+        let alarm = OverloadAlarm::Node(NodeId::new(2));
+        assert_eq!(d.handle_alarm(alarm, &mut pib), 1);
+        assert_eq!(d.handle_alarm(alarm, &mut pib), 0);
+        assert_eq!(d.alarms_handled, 2);
+        assert_eq!(d.paths_invalidated, 1);
+    }
+
+    #[test]
+    fn stale_overloaded_report_raises_no_alarm() {
+        let mut d = GlobalDiscovery::new();
+        let mut pib = pib_with_paths();
+        let mut topology = Topology::new();
+        let fresh = report(2, 0.1, 0.1);
+        d.absorb_report(&fresh, &mut pib, &mut topology);
+        // A report generated before the one already absorbed arrives late
+        // with node 2 and link 2→3 overloaded: newest-wins rejects it, so
+        // it must not invalidate anything.
+        let late = NodeReport {
+            at: SimTime::from_secs(30),
+            ..report(2, 0.95, 0.95)
+        };
+        assert!(d.absorb_report(&late, &mut pib, &mut topology).is_empty());
+        assert_eq!(pib.total_paths(), 2);
+        assert_eq!(d.alarms_handled, 0);
+        assert_eq!(d.view().node_utilization(NodeId::new(2)), Some(0.1));
+        // The same report on time does raise both alarms.
+        let on_time = NodeReport {
+            at: SimTime::from_secs(120),
+            ..report(2, 0.95, 0.95)
+        };
+        assert_eq!(
+            d.absorb_report(&on_time, &mut pib, &mut topology),
+            vec![
+                OverloadAlarm::Node(NodeId::new(2)),
+                OverloadAlarm::Link(NodeId::new(2), NodeId::new(3)),
+            ]
+        );
     }
 }

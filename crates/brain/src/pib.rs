@@ -7,7 +7,7 @@
 
 use livenet_types::{NodeId, SimTime, StreamId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// One computed overlay path: the node sequence from producer to consumer
 /// (inclusive), with its abstracted weight.
@@ -51,9 +51,16 @@ impl OverlayPath {
 }
 
 /// The Path Information Base.
+///
+/// Remembers the nodes and directed links it has invalidated since the
+/// last [`Pib::replace_all`] or [`Pib::insert`]: no stored path can cross
+/// them until one of those installs new paths, so a repeated overload
+/// alarm returns 0 without scanning the table.
 #[derive(Debug, Clone, Default)]
 pub struct Pib {
     paths: HashMap<(NodeId, NodeId), Vec<OverlayPath>>,
+    invalidated_nodes: HashSet<NodeId>,
+    invalidated_links: HashSet<(NodeId, NodeId)>,
 }
 
 impl Pib {
@@ -65,11 +72,19 @@ impl Pib {
     /// Replace all entries with a fresh Global Routing output.
     pub fn replace_all(&mut self, entries: HashMap<(NodeId, NodeId), Vec<OverlayPath>>) {
         self.paths = entries;
+        self.forget_invalidations();
     }
 
     /// Install/replace the candidate list for one pair.
     pub fn insert(&mut self, src: NodeId, dst: NodeId, paths: Vec<OverlayPath>) {
         self.paths.insert((src, dst), paths);
+        self.forget_invalidations();
+    }
+
+    /// New paths may cross anything invalidated before.
+    fn forget_invalidations(&mut self) {
+        self.invalidated_nodes.clear();
+        self.invalidated_links.clear();
     }
 
     /// Candidate paths for a pair, best first.
@@ -95,6 +110,9 @@ impl Pib {
     /// Invalidate (remove) every path traversing `node` (overload alarm).
     /// Returns the number of paths removed.
     pub fn invalidate_node(&mut self, node: NodeId) -> usize {
+        if !self.invalidated_nodes.insert(node) {
+            return 0;
+        }
         let mut removed = 0;
         for paths in self.paths.values_mut() {
             let before = paths.len();
@@ -105,7 +123,15 @@ impl Pib {
     }
 
     /// Invalidate every path traversing the directed link `from → to`.
+    /// A path crossing the link crosses both endpoints, so nothing is left
+    /// to remove once either endpoint was invalidated.
     pub fn invalidate_link(&mut self, from: NodeId, to: NodeId) -> usize {
+        if self.invalidated_nodes.contains(&from)
+            || self.invalidated_nodes.contains(&to)
+            || !self.invalidated_links.insert((from, to))
+        {
+            return 0;
+        }
         let mut removed = 0;
         for paths in self.paths.values_mut() {
             let before = paths.len();
@@ -232,6 +258,42 @@ mod tests {
         );
         assert_eq!(pib.invalidate_link(NodeId::new(2), NodeId::new(1)), 0);
         assert_eq!(pib.invalidate_link(NodeId::new(1), NodeId::new(2)), 1);
+    }
+
+    #[test]
+    fn repeated_invalidation_is_remembered_until_new_paths_arrive() {
+        let (a, b, c) = (NodeId::new(1), NodeId::new(2), NodeId::new(3));
+        let mut pib = Pib::new();
+        pib.insert(a, c, vec![path(&[1, 2, 3], 10.0)]);
+        assert_eq!(pib.invalidate_node(b), 1);
+        assert_eq!(pib.invalidate_node(b), 0);
+        // The node memo covers every link touching it.
+        assert_eq!(pib.invalidate_link(a, b), 0);
+        // `insert` re-arms the memo.
+        pib.insert(a, c, vec![path(&[1, 2, 3], 10.0)]);
+        assert_eq!(pib.invalidate_link(a, b), 1);
+        assert_eq!(pib.invalidate_link(a, b), 0);
+        // So does `replace_all`.
+        let mut fresh = HashMap::new();
+        fresh.insert((a, c), vec![path(&[1, 2, 3], 10.0)]);
+        pib.replace_all(fresh.clone());
+        assert_eq!(pib.invalidate_link(a, b), 1);
+        pib.replace_all(fresh);
+        assert_eq!(pib.invalidate_node(b), 1);
+    }
+
+    #[test]
+    fn link_memo_is_directed() {
+        let mut pib = Pib::new();
+        pib.insert(
+            NodeId::new(1),
+            NodeId::new(3),
+            vec![path(&[1, 2, 3], 10.0), path(&[2, 1, 3], 11.0)],
+        );
+        assert_eq!(pib.invalidate_link(NodeId::new(1), NodeId::new(2)), 1);
+        // The reverse direction is not covered by the memo.
+        assert_eq!(pib.invalidate_link(NodeId::new(2), NodeId::new(1)), 1);
+        assert_eq!(pib.total_paths(), 0);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::weight::{link_weight, WeightParams};
 use livenet_types::{NodeId, SimTime};
 use livenet_topology::{Topology, OVERLOAD_TARGET};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Global Routing parameters.
@@ -173,6 +174,18 @@ impl GlobalRouting {
     /// All-pairs K-shortest-paths specialized for hop limit ≤ 3 over a
     /// dense overlay: enumerate direct, 2-hop and 3-hop paths directly.
     ///
+    /// Works in index space (positions in the sorted routable-node list).
+    /// One pass over `topology.links()` fills dense n×n arrays — the
+    /// Eq. 2–3 weight (infinity = no usable link) and whether the link's
+    /// own utilization is at or over the overload target — plus the same
+    /// flag per node; these replace [`Self::build_graph`] and its
+    /// [`WeightedGraph`] here. Each pair keeps a running top-k under the
+    /// total order (weight, then lexicographic index path), and step 2
+    /// then runs on indices: every mesh edge is up, so a path survives
+    /// when none of its nodes and links is overloaded. As in the general
+    /// path, the filter runs after the top-k, so a pair may end with fewer
+    /// than k paths.
+    ///
     /// For n nodes this is O(n³) — milliseconds for a CDN-sized overlay —
     /// versus Yen's per-pair Dijkstras, and produces exactly the same
     /// answer (asserted by tests).
@@ -181,33 +194,67 @@ impl GlobalRouting {
         topology: &Topology,
         now: SimTime,
     ) -> HashMap<(NodeId, NodeId), Vec<OverlayPath>> {
-        let graph = self.build_graph(topology);
-        let n = graph.ids.len();
-        // Dense weight matrix (infinity = no link).
+        let target = self.config.overload_target;
+        let ids: Vec<NodeId> = topology.routable_node_ids().collect();
+        let n = ids.len();
+        // Routable nodes are up and not last-resort, so these are exactly
+        // the endpoints `build_graph` keeps.
+        let node_util: Vec<f64> = ids
+            .iter()
+            .map(|&id| topology.node(id).map_or(0.0, |info| info.utilization))
+            .collect();
+        let node_over: Vec<bool> = node_util.iter().map(|&u| u >= target).collect();
         let mut w = vec![f64::INFINITY; n * n];
-        for (u, adj) in graph.adj.iter().enumerate() {
-            for &(v, weight) in adj {
-                w[u * n + v] = weight;
+        let mut link_over = vec![false; n * n];
+        for (from, to, m) in topology.links() {
+            let (Ok(fi), Ok(ti)) = (ids.binary_search(&from), ids.binary_search(&to)) else {
+                continue;
+            };
+            let u = m.utilization.max(node_util[fi]).max(node_util[ti]);
+            let weight = link_weight(m.rtt, m.loss, u, self.config.weight);
+            debug_assert!(weight.is_finite() && weight >= 0.0, "bad edge weight {weight}");
+            w[fi * n + ti] = weight;
+            link_over[fi * n + ti] = m.utilization >= target;
+        }
+        // Failed links are invisible to routing; their metrics survive for
+        // when they come back up.
+        for (from, to) in topology.down_link_ids() {
+            if let (Ok(fi), Ok(ti)) = (ids.binary_search(&from), ids.binary_search(&to)) {
+                w[fi * n + ti] = f64::INFINITY;
+            }
+        }
+        // Transposed weights, wt[d * n + r] = w[r * n + d], so the inner
+        // loops below walk contiguous rows.
+        let mut wt = vec![f64::INFINITY; n * n];
+        for r in 0..n {
+            for d in 0..n {
+                wt[d * n + r] = w[r * n + d];
             }
         }
         let k = self.config.k;
         let max_hops = self.config.max_hops;
+        // There are no self-loop links, so the diagonal stays infinite and
+        // every would-be path that repeats a node costs infinity: the loops
+        // below need no `r == s` / `r == d` guards.
+        debug_assert!((0..n).all(|i| w[i * n + i].is_infinite()));
         // For 3-hop paths s→r1→r2→d we need, per (s, r2), the two best r1
-        // choices (second-best covers the r1 == d exclusion).
-        let mut best2: Vec<[(f64, usize); 2]> =
-            vec![[(f64::INFINITY, usize::MAX); 2]; n * n];
+        // choices (second-best covers the r1 == d exclusion). r1 runs in
+        // ascending order and only a strictly better cost displaces, so
+        // ties keep the lowest r1.
+        let none = [(f64::INFINITY, usize::MAX); 2];
+        let mut best2: Vec<[(f64, usize); 2]> = vec![none; n * n];
         if max_hops >= 3 {
             for s in 0..n {
-                for r2 in 0..n {
-                    if r2 == s {
+                let row = &mut best2[s * n..(s + 1) * n];
+                for r1 in 0..n {
+                    let head = w[s * n + r1];
+                    // An infinite cost never displaces anything.
+                    if !head.is_finite() {
                         continue;
                     }
-                    let mut top = [(f64::INFINITY, usize::MAX); 2];
-                    for r1 in 0..n {
-                        if r1 == s || r1 == r2 {
-                            continue;
-                        }
-                        let c = w[s * n + r1] + w[r1 * n + r2];
+                    let via = &w[r1 * n..(r1 + 1) * n];
+                    for (top, &tail) in row.iter_mut().zip(via) {
+                        let c = head + tail;
                         if c < top[0].0 {
                             top[1] = top[0];
                             top[0] = (c, r1);
@@ -215,83 +262,100 @@ impl GlobalRouting {
                             top[1] = (c, r1);
                         }
                     }
-                    best2[s * n + r2] = top;
                 }
+                // s→r1→s is a cycle, not a prefix.
+                row[s] = none;
             }
         }
 
-        let mut out = HashMap::new();
-        // Candidates are fixed-size (weight, node-index buffer, length) so
-        // the inner loops allocate nothing: ~2n³ Vec allocations per
-        // recompute used to dominate the Brain's 10-minute job.
+        // Candidates are fixed-size (weight, node-index buffer, length), so
+        // the inner loops allocate nothing.
         type Cand = (f64, [usize; 4], u8);
         let cmp = |a: &Cand, b: &Cand| {
             a.0.partial_cmp(&b.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
+                .unwrap_or(Ordering::Equal)
                 .then_with(|| a.1[..a.2 as usize].cmp(&b.1[..b.2 as usize]))
         };
-        let mut candidates: Vec<Cand> = Vec::with_capacity(2 * n);
+        // Running top-k, best first. Returns the weight a later candidate
+        // must not exceed to stand a chance (`f64::MAX` while the top-k has
+        // room, which still rejects infinite costs), so the loops below drop
+        // most candidates after one float comparison.
+        let offer = |top: &mut Vec<Cand>, c: Cand| -> f64 {
+            if top.len() == k {
+                match top.last() {
+                    Some(worst) if cmp(&c, worst) == Ordering::Less => {
+                        top.pop();
+                    }
+                    _ => return top.last().map_or(f64::NEG_INFINITY, |t| t.0),
+                }
+            }
+            let at = top
+                .iter()
+                .position(|t| cmp(&c, t) == Ordering::Less)
+                .unwrap_or(top.len());
+            top.insert(at, c);
+            if top.len() < k {
+                f64::MAX
+            } else {
+                top[k - 1].0
+            }
+        };
+        // Step 2 on indices.
+        let admissible = |c: &Cand| {
+            let path = &c.1[..c.2 as usize];
+            path.len() - 1 <= max_hops
+                && !path.iter().any(|&i| node_over[i])
+                && !path.windows(2).any(|e| link_over[e[0] * n + e[1]])
+        };
+
+        let mut out = HashMap::with_capacity(n * n.saturating_sub(1));
+        let mut top: Vec<Cand> = Vec::with_capacity(k + 1);
         for s in 0..n {
+            let from_s = &w[s * n..(s + 1) * n];
+            let best_s = &best2[s * n..(s + 1) * n];
             for d in 0..n {
                 if s == d {
                     continue;
                 }
-                candidates.clear();
-                let direct = w[s * n + d];
-                if direct.is_finite() {
-                    candidates.push((direct, [s, d, 0, 0], 2));
+                let into_d = &wt[d * n..(d + 1) * n];
+                top.clear();
+                let mut bound = if k == 0 { f64::NEG_INFINITY } else { f64::MAX };
+                let direct = from_s[d];
+                if direct <= bound {
+                    bound = offer(&mut top, (direct, [s, d, 0, 0], 2));
                 }
                 if max_hops >= 2 {
-                    for r in 0..n {
-                        if r == s || r == d {
-                            continue;
-                        }
-                        let c = w[s * n + r] + w[r * n + d];
-                        if c.is_finite() {
-                            candidates.push((c, [s, r, d, 0], 3));
+                    for (r, (&head, &tail)) in from_s.iter().zip(into_d).enumerate() {
+                        let c = head + tail;
+                        if c <= bound {
+                            bound = offer(&mut top, (c, [s, r, d, 0], 3));
                         }
                     }
                 }
                 if max_hops >= 3 {
-                    for r2 in 0..n {
-                        if r2 == s || r2 == d {
-                            continue;
-                        }
-                        let tail = w[r2 * n + d];
-                        if !tail.is_finite() {
-                            continue;
-                        }
-                        // Pick the best r1 that is not d.
-                        let [(c0, r1a), (c1, r1b)] = best2[s * n + r2];
+                    for (r2, (&[(c0, r1a), (c1, r1b)], &tail)) in
+                        best_s.iter().zip(into_d).enumerate()
+                    {
+                        // The best r1 that is not d; an unset slot costs
+                        // infinity.
                         let (c, r1) = if r1a != d { (c0, r1a) } else { (c1, r1b) };
-                        if r1 == usize::MAX || !c.is_finite() {
-                            continue;
+                        let c = c + tail;
+                        if c <= bound {
+                            bound = offer(&mut top, (c, [s, r1, r2, d], 4));
                         }
-                        candidates.push((c + tail, [s, r1, r2, d], 4));
                     }
                 }
-                // Top-k selection under the same total order as the old
-                // sort-everything-then-take(k): partition, then sort only
-                // the k survivors.
-                if candidates.len() > k {
-                    candidates.select_nth_unstable_by(k, cmp);
-                    candidates.truncate(k);
-                }
-                candidates.sort_by(cmp);
-                let paths: Vec<OverlayPath> = candidates
+                let paths: Vec<OverlayPath> = top
                     .iter()
+                    .filter(|c| admissible(c))
                     .map(|&(weight, idx_path, len)| OverlayPath {
-                        nodes: idx_path[..len as usize]
-                            .iter()
-                            .map(|&i| graph.ids[i])
-                            .collect(),
+                        nodes: idx_path[..len as usize].iter().map(|&i| ids[i]).collect(),
                         weight,
                         computed_at: now,
                         last_resort: false,
                     })
-                    .filter(|p| self.satisfies_constraints(topology, p))
                     .collect();
-                out.insert((graph.ids[s], graph.ids[d]), paths);
+                out.insert((ids[s], ids[d]), paths);
             }
         }
         out

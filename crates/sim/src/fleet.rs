@@ -31,15 +31,6 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// Which system a record belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum System {
-    /// The flat, centrally-controlled design.
-    LiveNet,
-    /// The hierarchical baseline.
-    Hier,
-}
-
 /// A scripted fleet-level fault (§6.5 failure handling).
 ///
 /// Node identity is expressed structurally — an index into the sorted

@@ -43,7 +43,7 @@ pub use calibrate::LatencyConstants;
 pub use control::{ControlPlane, ReplicationConfig, ReplicationSummary};
 pub use fleet::{
     FaultPlanConfig, FleetConfig, FleetConfigBuilder, FleetFault, FleetReport, FleetSim,
-    RecoveryRecord, System,
+    RecoveryRecord,
 };
 pub use metrics::{record_session, DecisionOutcome, SessionRecord, SessionSummary};
 pub use runner::{partition_channels, FleetRunner, ShardPlan};

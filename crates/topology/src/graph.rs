@@ -211,6 +211,12 @@ impl Topology {
         self.down_nodes.iter().copied()
     }
 
+    /// Directed links currently marked down (beyond any down endpoints),
+    /// deterministic order.
+    pub fn down_link_ids(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        self.down_links.iter().copied()
+    }
+
     /// All node IDs in the given country, deterministic order (region
     /// outage support).
     pub fn nodes_in_country(&self, country: u32) -> impl Iterator<Item = NodeId> + '_ {
@@ -250,6 +256,16 @@ impl Topology {
             let from = *f;
             m.iter_mut().map(move |(t, v)| (from, *t, v))
         })
+    }
+
+    /// Out-links of `from` mutably, ascending by far end (none for an
+    /// unknown node). Down links are included: their metrics survive the
+    /// outage.
+    pub fn out_links_mut(&mut self, from: NodeId) -> impl Iterator<Item = (NodeId, &mut LinkMetrics)> {
+        self.links
+            .get_mut(&from)
+            .into_iter()
+            .flat_map(|m| m.iter_mut().map(|(t, v)| (*t, v)))
     }
 
     /// All nodes mutably in deterministic (id) order.
